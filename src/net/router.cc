@@ -37,30 +37,6 @@ bool DrainSocket(int fd, wire::FrameDecoder* decoder) {
   }
 }
 
-/// Flushes `outbound[sent..]`; true while the connection is healthy.
-bool FlushBuffer(int fd, std::vector<uint8_t>* outbound, size_t* sent) {
-  while (*sent < outbound->size()) {
-    const ssize_t n = ::send(fd, outbound->data() + *sent,
-                             outbound->size() - *sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      *sent += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    return false;
-  }
-  if (*sent == outbound->size()) {
-    outbound->clear();
-    *sent = 0;
-  } else if (*sent > (1u << 20)) {
-    outbound->erase(outbound->begin(),
-                    outbound->begin() + static_cast<ptrdiff_t>(*sent));
-    *sent = 0;
-  }
-  return true;
-}
-
 }  // namespace
 
 size_t Router::RingPick(const std::vector<std::string>& backends,
@@ -100,6 +76,12 @@ Router::Router(RouterOptions options)
   protocol_errors_counter_ = metrics.GetCounter(
       "mace_net_protocol_errors_total",
       "Connections dropped for MWIREv1 protocol violations", labels);
+  read_pauses_counter_ = metrics.GetCounter(
+      "mace_net_read_pauses_total",
+      "Times backpressure paused reading a connection", labels);
+  socket_writes_counter_ = metrics.GetCounter(
+      "mace_net_socket_writes_total", "send() calls that moved bytes",
+      labels);
   inflight_gauge_ = metrics.GetGauge(
       "mace_net_router_inflight", "Requests awaiting a backend response",
       labels);
@@ -224,7 +206,7 @@ void Router::Loop() {
           FailBackend(b, "backend connection error");
           continue;
         }
-        if (events[i].events & EPOLLOUT) FlushBackend(b);
+        if (events[i].events & EPOLLOUT) MarkBackendDirty(b);
         if (events[i].events & (EPOLLIN | EPOLLRDHUP)) {
           HandleBackendReadable(b);
         }
@@ -237,11 +219,12 @@ void Router::Loop() {
         CloseClient(fd);
         continue;
       }
-      if (events[i].events & EPOLLOUT) FlushClient(conn);
+      if (events[i].events & EPOLLOUT) MarkClientDirty(conn);
       if (events[i].events & (EPOLLIN | EPOLLRDHUP)) {
         HandleClientReadable(conn);
       }
     }
+    FlushDirty();
   }
 }
 
@@ -272,37 +255,48 @@ void Router::Accept() {
 }
 
 void Router::HandleClientReadable(const std::shared_ptr<ClientConn>& conn) {
-  const bool healthy = DrainSocket(conn->fd.get(), &conn->decoder);
-  for (;;) {
-    Result<std::optional<wire::OwnedFrame>> next = conn->decoder.Next();
-    if (!next.ok()) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      protocol_errors_counter_->Increment();
+  // Chunk by chunk, so a client whose responses back up is paused
+  // mid-stream and one pass buffers about write_buffer_limit for it.
+  uint8_t buffer[64 * 1024];
+  while (!conn->read_paused) {
+    const ssize_t n = ::recv(conn->fd.get(), buffer, sizeof(buffer), 0);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) {
+        CloseClient(conn->fd.get());
+      }
+      return;
+    }
+    if (n == 0) {
       CloseClient(conn->fd.get());
       return;
     }
-    if (!next.value().has_value()) break;
-    if (!DispatchClientFrame(conn, std::move(*next.value()))) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      protocol_errors_counter_->Increment();
-      CloseClient(conn->fd.get());
-      return;
+    conn->decoder.Append(buffer, static_cast<size_t>(n));
+    for (;;) {
+      Result<std::optional<wire::OwnedFrame>> next = conn->decoder.Next();
+      if (next.ok() && !next.value().has_value()) break;
+      if (!next.ok() ||
+          !DispatchClientFrame(conn, std::move(*next.value()))) {
+        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        protocol_errors_counter_->Increment();
+        CloseClient(conn->fd.get());
+        return;
+      }
     }
+    if (UpdateReadPause(conn.get())) UpdateClientEpoll(conn.get());
   }
-  if (!healthy) CloseClient(conn->fd.get());
 }
 
 bool Router::DispatchClientFrame(const std::shared_ptr<ClientConn>& conn,
                                  wire::OwnedFrame frame) {
   switch (frame.type) {
     case wire::FrameType::kPing:
-      SendToClient(conn.get(), wire::FrameType::kPong, frame.request_id,
-                   {});
+      SendToClient(conn, wire::FrameType::kPong, frame.request_id, {});
       return true;
     case wire::FrameType::kStatsRequest: {
       std::vector<uint8_t> payload;
       wire::EncodeStatsResponse(StatsLine(), &payload);
-      SendToClient(conn.get(), wire::FrameType::kStatsResponse,
+      SendToClient(conn, wire::FrameType::kStatsResponse,
                    frame.request_id, payload);
       return true;
     }
@@ -310,7 +304,7 @@ bool Router::DispatchClientFrame(const std::shared_ptr<ClientConn>& conn,
       Result<wire::ScoreRouting> routing = wire::PeekScoreRouting(
           frame.payload.data(), frame.payload.size());
       if (!routing.ok()) {
-        SendRejection(conn.get(), wire::FrameType::kScoreResponse,
+        SendRejection(conn, wire::FrameType::kScoreResponse,
                       frame.request_id, routing.status().message());
         return true;
       }
@@ -322,7 +316,7 @@ bool Router::DispatchClientFrame(const std::shared_ptr<ClientConn>& conn,
       Result<wire::CloseRequest> request = wire::DecodeCloseRequest(
           frame.payload.data(), frame.payload.size());
       if (!request.ok()) {
-        SendRejection(conn.get(), wire::FrameType::kCloseResponse,
+        SendRejection(conn, wire::FrameType::kCloseResponse,
                       frame.request_id, request.status().message());
         return true;
       }
@@ -346,7 +340,7 @@ void Router::ForwardOrReject(const std::shared_ptr<ClientConn>& conn,
   if (frame.type == wire::FrameType::kScoreRequest &&
       !qos_.Admit(tenant, static_cast<serve::Priority>(priority),
                   SteadySeconds())) {
-    SendRejection(conn.get(), response_type, frame.request_id,
+    SendRejection(conn, response_type, frame.request_id,
                   "rate limited by per-tenant QoS");
     return;
   }
@@ -357,14 +351,14 @@ void Router::ForwardOrReject(const std::shared_ptr<ClientConn>& conn,
   if (it == ring_.end()) it = ring_.begin();
   Backend& backend = backends_[it->second];
   if (!backend.alive) {
-    SendRejection(conn.get(), response_type, frame.request_id,
+    SendRejection(conn, response_type, frame.request_id,
                   "backend " + backend.address + " is down");
     return;
   }
   if (backend.inflight >= options_.max_inflight_per_backend ||
       backend.outbound.size() - backend.sent >
           options_.write_buffer_limit) {
-    SendRejection(conn.get(), response_type, frame.request_id,
+    SendRejection(conn, response_type, frame.request_id,
                   "backend " + backend.address + " overloaded");
     return;
   }
@@ -377,7 +371,7 @@ void Router::ForwardOrReject(const std::shared_ptr<ClientConn>& conn,
   forwarded_.fetch_add(1, std::memory_order_relaxed);
   forwarded_counter_->Increment();
   inflight_gauge_->Set(static_cast<double>(pending_.size()));
-  FlushBackend(it->second);
+  MarkBackendDirty(it->second);
 }
 
 void Router::HandleBackendReadable(size_t backend_index) {
@@ -410,7 +404,7 @@ void Router::HandleBackendFrame(size_t backend_index,
   inflight_gauge_->Set(static_cast<double>(pending_.size()));
   auto client_it = clients_by_id_.find(pending.client_conn_id);
   if (client_it == clients_by_id_.end()) return;
-  SendToClient(client_it->second.get(), frame.type,
+  SendToClient(client_it->second, frame.type,
                pending.client_request_id, frame.payload);
 }
 
@@ -440,24 +434,23 @@ void Router::FailBackend(size_t backend_index, const std::string& reason) {
     response.message = reason + " (" + backend.address + ")";
     std::vector<uint8_t> payload;
     wire::EncodeScoreResponse(response, &payload);
-    SendToClient(client_it->second.get(),
-                 wire::FrameType::kScoreResponse,
+    SendToClient(client_it->second, wire::FrameType::kScoreResponse,
                  pending.client_request_id, payload);
   }
   backend.inflight = 0;
   inflight_gauge_->Set(static_cast<double>(pending_.size()));
 }
 
-void Router::SendToClient(ClientConn* conn, wire::FrameType type,
-                          uint64_t request_id,
+void Router::SendToClient(const std::shared_ptr<ClientConn>& conn,
+                          wire::FrameType type, uint64_t request_id,
                           const std::vector<uint8_t>& payload) {
+  if (conn->closed) return;
   wire::AppendFrame(&conn->outbound, type, request_id, payload);
-  auto it = clients_.find(conn->fd.get());
-  if (it != clients_.end()) FlushClient(it->second);
+  MarkClientDirty(conn);
 }
 
-void Router::SendRejection(ClientConn* conn, wire::FrameType type,
-                           uint64_t request_id,
+void Router::SendRejection(const std::shared_ptr<ClientConn>& conn,
+                           wire::FrameType type, uint64_t request_id,
                            const std::string& message) {
   rejected_.fetch_add(1, std::memory_order_relaxed);
   rejected_counter_->Increment();
@@ -473,7 +466,8 @@ void Router::SendRejection(ClientConn* conn, wire::FrameType type,
 void Router::UpdateClientEpoll(ClientConn* conn) {
   epoll_event ev;
   std::memset(&ev, 0, sizeof(ev));
-  ev.events = EPOLLIN | EPOLLET | EPOLLRDHUP;
+  ev.events = EPOLLET | EPOLLRDHUP;
+  if (!conn->read_paused) ev.events |= EPOLLIN;
   if (conn->want_write) ev.events |= EPOLLOUT;
   ev.data.fd = conn->fd.get();
   ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_MOD, conn->fd.get(), &ev);
@@ -489,22 +483,100 @@ void Router::UpdateBackendEpoll(size_t backend_index) {
   ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_MOD, backend.fd.get(), &ev);
 }
 
+void Router::MarkClientDirty(const std::shared_ptr<ClientConn>& conn) {
+  if (conn->dirty) return;
+  conn->dirty = true;
+  dirty_clients_.push_back(conn);
+}
+
+void Router::MarkBackendDirty(size_t backend_index) {
+  Backend& backend = backends_[backend_index];
+  if (backend.dirty) return;
+  backend.dirty = true;
+  dirty_backends_.push_back(backend_index);
+}
+
+void Router::FlushDirty() {
+  // Indexed loops: FlushBackend → FailBackend appends to dirty_clients_.
+  for (size_t i = 0; i < dirty_backends_.size(); ++i) {
+    backends_[dirty_backends_[i]].dirty = false;
+    FlushBackend(dirty_backends_[i]);
+  }
+  dirty_backends_.clear();
+  for (size_t i = 0; i < dirty_clients_.size(); ++i) {
+    dirty_clients_[i]->dirty = false;
+    FlushClient(dirty_clients_[i]);
+  }
+  dirty_clients_.clear();
+}
+
+bool Router::Flush(int fd, std::vector<uint8_t>* outbound, size_t* sent) {
+  uint64_t writes = 0;
+  bool healthy = true;
+  while (*sent < outbound->size()) {
+    const ssize_t n = ::send(fd, outbound->data() + *sent,
+                             outbound->size() - *sent, MSG_NOSIGNAL);
+    if (n > 0) {
+      *sent += static_cast<size_t>(n);
+      ++writes;
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    healthy = false;
+    break;
+  }
+  if (writes > 0) {
+    socket_writes_.fetch_add(writes, std::memory_order_relaxed);
+    socket_writes_counter_->Increment(writes);
+  }
+  if (!healthy) return false;
+  if (*sent == outbound->size()) {
+    outbound->clear();
+    *sent = 0;
+  } else if (*sent > (1u << 20)) {
+    outbound->erase(outbound->begin(),
+                    outbound->begin() + static_cast<ptrdiff_t>(*sent));
+    *sent = 0;
+  }
+  return true;
+}
+
 void Router::FlushClient(const std::shared_ptr<ClientConn>& conn) {
-  if (!FlushBuffer(conn->fd.get(), &conn->outbound, &conn->sent)) {
+  if (conn->closed) return;
+  if (!Flush(conn->fd.get(), &conn->outbound, &conn->sent)) {
     CloseClient(conn->fd.get());
     return;
   }
+  bool update = UpdateReadPause(conn.get());
   const bool want_write = conn->outbound.size() > conn->sent;
   if (want_write != conn->want_write) {
     conn->want_write = want_write;
-    UpdateClientEpoll(conn.get());
+    update = true;
   }
+  if (update) UpdateClientEpoll(conn.get());
+}
+
+bool Router::UpdateReadPause(ClientConn* conn) {
+  const size_t backlog = conn->outbound.size() - conn->sent;
+  if (!conn->read_paused && backlog > options_.write_buffer_limit) {
+    conn->read_paused = true;
+    read_pauses_.fetch_add(1, std::memory_order_relaxed);
+    read_pauses_counter_->Increment();
+    return true;
+  }
+  if (conn->read_paused && backlog < options_.write_buffer_limit / 2) {
+    // Re-arming EPOLLIN reports input that arrived while paused.
+    conn->read_paused = false;
+    return true;
+  }
+  return false;
 }
 
 void Router::FlushBackend(size_t backend_index) {
   Backend& backend = backends_[backend_index];
   if (!backend.alive) return;
-  if (!FlushBuffer(backend.fd.get(), &backend.outbound, &backend.sent)) {
+  if (!Flush(backend.fd.get(), &backend.outbound, &backend.sent)) {
     FailBackend(backend_index, "backend write failed");
     return;
   }
@@ -519,6 +591,7 @@ void Router::CloseClient(int fd) {
   auto it = clients_.find(fd);
   if (it == clients_.end()) return;
   ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, fd, nullptr);
+  it->second->closed = true;
   clients_by_id_.erase(it->second->id);
   clients_.erase(it);
   // Pending entries for this client stay until their backend responses

@@ -32,6 +32,10 @@ struct RouterOptions {
   /// unbounded router memory).
   size_t max_inflight_per_backend = 8192;
   size_t max_connections = 4096;
+  /// Unflushed bytes per peer. A backend past it rejects new requests as
+  /// overloaded; a client past it stops being read until its backlog
+  /// drains below half (a client that never reads throttles its own
+  /// request stream instead of growing router memory).
   size_t write_buffer_limit = 4u << 20;
   /// Router-level per-tenant admission control (fleet-wide QoS sits here,
   /// in front of every backend). rate_per_tenant <= 0 disables.
@@ -47,6 +51,12 @@ struct RouterOptions {
 /// the payload bytes are forwarded verbatim — the router never decodes
 /// observations. Request ids are remapped (client ids collide across
 /// connections) through a pending table and restored on the way back.
+///
+/// Writes are append-and-mark: forwarding, responding and rejecting only
+/// append to the peer's outbound buffer and mark it dirty. After each
+/// epoll_wait pass the loop flushes every dirty backend, then every dirty
+/// client, so a pipelined burst costs one send() per peer per pass rather
+/// than one per frame.
 ///
 /// Sessions are stateful, so a dead backend's tenants are NOT re-hashed:
 /// in-flight requests get error responses and later requests are
@@ -66,6 +76,9 @@ class Router {
   uint64_t rejected() const { return rejected_; }
   uint64_t backend_errors() const { return backend_errors_; }
   uint64_t protocol_errors() const { return protocol_errors_; }
+  uint64_t read_pauses() const { return read_pauses_; }
+  /// send() calls that moved bytes, to clients and backends together.
+  uint64_t socket_writes() const { return socket_writes_; }
 
   /// The ring's backend index for a tenant — exposed so tests can assert
   /// placement stability without a live router.
@@ -80,7 +93,10 @@ class Router {
     wire::FrameDecoder decoder;
     std::vector<uint8_t> outbound;
     size_t sent = 0;
-    bool want_write = false;
+    bool want_write = false;   ///< EPOLLOUT currently armed
+    bool read_paused = false;  ///< EPOLLIN currently disarmed
+    bool dirty = false;        ///< queued in dirty_clients_
+    bool closed = false;       ///< CloseClient ran; output is dropped
   };
 
   struct Backend {
@@ -90,6 +106,7 @@ class Router {
     std::vector<uint8_t> outbound;
     size_t sent = 0;
     bool want_write = false;
+    bool dirty = false;  ///< queued in dirty_backends_
     bool alive = false;
     size_t inflight = 0;
   };
@@ -115,13 +132,28 @@ class Router {
   void HandleBackendFrame(size_t backend_index, wire::OwnedFrame frame);
   /// Fails every pending request on `backend_index` and marks it dead.
   void FailBackend(size_t backend_index, const std::string& reason);
-  void SendToClient(ClientConn* conn, wire::FrameType type,
-                    uint64_t request_id,
+  /// Appends a frame to the client's outbound buffer and marks it dirty.
+  void SendToClient(const std::shared_ptr<ClientConn>& conn,
+                    wire::FrameType type, uint64_t request_id,
                     const std::vector<uint8_t>& payload);
-  void SendRejection(ClientConn* conn, wire::FrameType type,
-                     uint64_t request_id, const std::string& message);
+  void SendRejection(const std::shared_ptr<ClientConn>& conn,
+                     wire::FrameType type, uint64_t request_id,
+                     const std::string& message);
+  void MarkClientDirty(const std::shared_ptr<ClientConn>& conn);
+  void MarkBackendDirty(size_t backend_index);
+  /// End of a pass: flushes dirty backends, then dirty clients. Backends
+  /// go first because a failed backend flush runs FailBackend, which
+  /// queues error responses to clients.
+  void FlushDirty();
   void FlushClient(const std::shared_ptr<ClientConn>& conn);
   void FlushBackend(size_t backend_index);
+  /// Pauses reading a client whose unflushed backlog passed
+  /// write_buffer_limit and resumes it below half; true when the pause
+  /// state changed (the caller updates epoll).
+  bool UpdateReadPause(ClientConn* conn);
+  /// Sends `outbound[sent..]` until the socket would block; counts each
+  /// send() that moved bytes. True while the connection is healthy.
+  bool Flush(int fd, std::vector<uint8_t>* outbound, size_t* sent);
   void CloseClient(int fd);
   /// epoll interest update helpers (fd key encodes client vs backend).
   void UpdateClientEpoll(ClientConn* conn);
@@ -143,6 +175,9 @@ class Router {
   std::unordered_map<uint64_t, std::shared_ptr<ClientConn>> clients_by_id_;
   std::unordered_map<int, size_t> backend_by_fd_;
   std::unordered_map<uint64_t, Pending> pending_;
+  /// Peers with unflushed bytes from this pass (flag on the peer dedups).
+  std::vector<size_t> dirty_backends_;
+  std::vector<std::shared_ptr<ClientConn>> dirty_clients_;
   uint64_t next_router_id_ = 1;
   uint64_t next_client_id_ = 1;
 
@@ -151,11 +186,15 @@ class Router {
   std::atomic<uint64_t> rejected_{0};
   std::atomic<uint64_t> backend_errors_{0};
   std::atomic<uint64_t> protocol_errors_{0};
+  std::atomic<uint64_t> read_pauses_{0};
+  std::atomic<uint64_t> socket_writes_{0};
 
   obs::Counter* forwarded_counter_ = nullptr;
   obs::Counter* rejected_counter_ = nullptr;
   obs::Counter* backend_errors_counter_ = nullptr;
   obs::Counter* protocol_errors_counter_ = nullptr;
+  obs::Counter* read_pauses_counter_ = nullptr;
+  obs::Counter* socket_writes_counter_ = nullptr;
   obs::Gauge* inflight_gauge_ = nullptr;
 
   std::thread loop_;

@@ -39,6 +39,9 @@ ScoreServer::ScoreServer(serve::ServeFrontend* frontend,
   read_pauses_counter_ = metrics.GetCounter(
       "mace_net_read_pauses_total",
       "Times backpressure paused reading a connection", labels);
+  socket_writes_counter_ = metrics.GetCounter(
+      "mace_net_socket_writes_total", "send() calls that moved bytes",
+      labels);
   connections_gauge_ = metrics.GetGauge(
       "mace_net_connections_open", "Currently open connections", labels);
 }
@@ -94,6 +97,11 @@ void ScoreServer::Stop() {
   // in-flight shard callback while the connection map (their weak_ptr
   // targets) and the eventfd are still alive.
   frontend_->Flush();
+  {
+    // Queued flushes hold connections; drop them so the sockets close.
+    std::lock_guard<std::mutex> lock(pending_mu_);
+    pending_flush_.clear();
+  }
   connections_.clear();
   connections_gauge_->Set(0.0);
 }
@@ -115,7 +123,6 @@ void ScoreServer::UpdateEpoll(Connection* conn) {
 }
 
 void ScoreServer::Loop() {
-  loop_tid_.store(std::this_thread::get_id());
   constexpr int kMaxEvents = 128;
   epoll_event events[kMaxEvents];
   while (!stopping_.load(std::memory_order_acquire)) {
@@ -134,15 +141,7 @@ void ScoreServer::Loop() {
         uint64_t drained;
         while (::read(wake_fd_.get(), &drained, sizeof(drained)) > 0) {
         }
-        std::vector<int> pending;
-        {
-          std::lock_guard<std::mutex> lock(pending_mu_);
-          pending.swap(pending_write_fds_);
-        }
-        for (int pending_fd : pending) {
-          auto it = connections_.find(pending_fd);
-          if (it != connections_.end()) FlushOutbound(it->second);
-        }
+        TakePendingFlushes();
         continue;
       }
       auto it = connections_.find(fd);
@@ -152,9 +151,10 @@ void ScoreServer::Loop() {
         CloseConnection(fd);
         continue;
       }
-      if (events[i].events & EPOLLOUT) FlushOutbound(conn);
+      if (events[i].events & EPOLLOUT) MarkDirty(conn);
       if (events[i].events & (EPOLLIN | EPOLLRDHUP)) HandleReadable(conn);
     }
+    FlushDirty();
   }
 }
 
@@ -221,6 +221,16 @@ void ScoreServer::HandleReadable(const std::shared_ptr<Connection>& conn) {
         return;
       }
     }
+    // Replies the loop queues itself (pong, errors) wait for the end of
+    // the pass, so a client that never reads is checked here and paused
+    // mid-stream. Worker replies are checked when their flush runs.
+    if (!conn->dirty) continue;
+    size_t backlog;
+    {
+      std::lock_guard<std::mutex> lock(conn->mu);
+      backlog = conn->outbound.size() - conn->sent;
+    }
+    if (UpdateReadPause(conn.get(), backlog)) UpdateEpoll(conn.get());
   }
 }
 
@@ -264,8 +274,8 @@ bool ScoreServer::Dispatch(const std::shared_ptr<Connection>& conn,
             response.scores = std::move(batch.scores);
             std::vector<uint8_t> payload;
             wire::EncodeScoreResponse(response, &payload);
-            SendFrame(conn, wire::FrameType::kCloseResponse, request_id,
-                      payload);
+            SendFrameFromCallback(conn, wire::FrameType::kCloseResponse,
+                                  request_id, payload);
           });
       return true;
     }
@@ -316,8 +326,8 @@ void ScoreServer::HandleScore(const std::shared_ptr<Connection>& conn,
         response.scores = std::move(batch.scores);
         std::vector<uint8_t> payload;
         wire::EncodeScoreResponse(response, &payload);
-        SendFrame(conn, wire::FrameType::kScoreResponse, request_id,
-                  payload);
+        SendFrameFromCallback(conn, wire::FrameType::kScoreResponse,
+                              request_id, payload);
       });
   if (!submitted.ok()) {
     SendErrorResponse(conn, wire::FrameType::kScoreResponse, request_id,
@@ -339,29 +349,69 @@ void ScoreServer::SendErrorResponse(
   SendFrame(conn, type, request_id, payload);
 }
 
-void ScoreServer::SendFrame(const std::shared_ptr<Connection>& conn,
-                            wire::FrameType type, uint64_t request_id,
-                            const std::vector<uint8_t>& payload) {
+bool ScoreServer::AppendOutbound(const std::shared_ptr<Connection>& conn,
+                                 wire::FrameType type, uint64_t request_id,
+                                 const std::vector<uint8_t>& payload) {
   {
     std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->dead) return;
+    if (conn->dead) return false;
     wire::AppendFrame(&conn->outbound, type, request_id, payload);
   }
   frames_sent_.fetch_add(1, std::memory_order_relaxed);
   frames_tx_counter_->Increment();
-  if (std::this_thread::get_id() == loop_tid_.load()) {
-    FlushOutbound(conn);
-  } else {
-    {
-      std::lock_guard<std::mutex> lock(pending_mu_);
-      pending_write_fds_.push_back(conn->fd.get());
-    }
-    WakeLoop();
+  return true;
+}
+
+void ScoreServer::SendFrame(const std::shared_ptr<Connection>& conn,
+                            wire::FrameType type, uint64_t request_id,
+                            const std::vector<uint8_t>& payload) {
+  if (AppendOutbound(conn, type, request_id, payload)) MarkDirty(conn);
+}
+
+void ScoreServer::SendFrameFromCallback(
+    const std::shared_ptr<Connection>& conn, wire::FrameType type,
+    uint64_t request_id, const std::vector<uint8_t>& payload) {
+  if (!AppendOutbound(conn, type, request_id, payload)) return;
+  bool wake = false;
+  {
+    std::lock_guard<std::mutex> lock(pending_mu_);
+    if (conn->flush_queued) return;  // the loop has not taken it yet
+    conn->flush_queued = true;
+    wake = pending_flush_.empty();
+    pending_flush_.push_back(conn);
   }
+  if (wake) WakeLoop();
+}
+
+void ScoreServer::MarkDirty(const std::shared_ptr<Connection>& conn) {
+  if (conn->dirty) return;
+  conn->dirty = true;
+  dirty_.push_back(conn);
+}
+
+void ScoreServer::TakePendingFlushes() {
+  std::vector<std::shared_ptr<Connection>> pending;
+  {
+    // Clearing flush_queued before the flush reads outbound means a
+    // callback that saw the flag set appended before this point.
+    std::lock_guard<std::mutex> lock(pending_mu_);
+    pending.swap(pending_flush_);
+    for (const auto& conn : pending) conn->flush_queued = false;
+  }
+  for (const auto& conn : pending) MarkDirty(conn);
+}
+
+void ScoreServer::FlushDirty() {
+  for (size_t i = 0; i < dirty_.size(); ++i) {
+    dirty_[i]->dirty = false;
+    FlushOutbound(dirty_[i]);
+  }
+  dirty_.clear();
 }
 
 void ScoreServer::FlushOutbound(const std::shared_ptr<Connection>& conn) {
   bool close = false;
+  uint64_t writes = 0;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
     if (conn->dead) return;
@@ -371,6 +421,7 @@ void ScoreServer::FlushOutbound(const std::shared_ptr<Connection>& conn) {
                  conn->outbound.size() - conn->sent, MSG_NOSIGNAL);
       if (n > 0) {
         conn->sent += static_cast<size_t>(n);
+        ++writes;
         continue;
       }
       if (n < 0 && errno == EINTR) continue;
@@ -389,26 +440,33 @@ void ScoreServer::FlushOutbound(const std::shared_ptr<Connection>& conn) {
         conn->sent = 0;
       }
       const size_t backlog = conn->outbound.size() - conn->sent;
-      const bool want_write = backlog > 0;
-      bool update = false;
-      if (want_write != conn->want_write) {
-        conn->want_write = want_write;
-        update = true;
-      }
-      if (!conn->read_paused && backlog > options_.write_buffer_limit) {
-        conn->read_paused = true;
-        read_pauses_.fetch_add(1, std::memory_order_relaxed);
-        read_pauses_counter_->Increment();
-        update = true;
-      } else if (conn->read_paused &&
-                 backlog < options_.write_buffer_limit / 2) {
-        conn->read_paused = false;
+      bool update = UpdateReadPause(conn.get(), backlog);
+      if ((backlog > 0) != conn->want_write) {
+        conn->want_write = backlog > 0;
         update = true;
       }
       if (update) UpdateEpoll(conn.get());
     }
   }
+  if (writes > 0) {
+    socket_writes_.fetch_add(writes, std::memory_order_relaxed);
+    socket_writes_counter_->Increment(writes);
+  }
   if (close) CloseConnection(conn->fd.get());
+}
+
+bool ScoreServer::UpdateReadPause(Connection* conn, size_t backlog) {
+  if (!conn->read_paused && backlog > options_.write_buffer_limit) {
+    conn->read_paused = true;
+    read_pauses_.fetch_add(1, std::memory_order_relaxed);
+    read_pauses_counter_->Increment();
+    return true;
+  }
+  if (conn->read_paused && backlog < options_.write_buffer_limit / 2) {
+    conn->read_paused = false;
+    return true;
+  }
+  return false;
 }
 
 void ScoreServer::CloseConnection(int fd) {

@@ -40,7 +40,12 @@ struct ScoreServerOptions {
 /// queues). Score and close requests are handed to the frontend's
 /// completion-callback path, so the loop never blocks on scoring: shard
 /// worker threads encode the response into the connection's outbound
-/// buffer and nudge the loop through an eventfd.
+/// buffer, queue the connection for a flush, and nudge the loop through
+/// an eventfd only when that queue goes from empty to non-empty.
+///
+/// Every write is append-and-mark: the loop flushes each connection with
+/// fresh bytes once, after the epoll_wait pass that produced them, so a
+/// pipelined burst costs one send() per connection per pass.
 ///
 /// Protocol errors (bad magic/version/CRC, unexpected frame type) are
 /// connection-fatal; malformed *payloads* on an intact frame get an
@@ -68,6 +73,8 @@ class ScoreServer {
   uint64_t frames_received() const { return frames_received_; }
   uint64_t frames_sent() const { return frames_sent_; }
   uint64_t read_pauses() const { return read_pauses_; }
+  /// send() calls that moved bytes.
+  uint64_t socket_writes() const { return socket_writes_; }
 
  private:
   struct Connection {
@@ -81,7 +88,10 @@ class ScoreServer {
     size_t sent = 0;
     bool want_write = false;   ///< EPOLLOUT currently armed (loop only)
     bool read_paused = false;  ///< EPOLLIN currently disarmed (loop only)
+    bool dirty = false;        ///< queued in dirty_ (loop only)
     bool dead = false;         ///< closed; callbacks drop their output
+    /// Queued in pending_flush_ (guarded by pending_mu_).
+    bool flush_queued = false;
   };
 
   ScoreServer(serve::ServeFrontend* frontend, ScoreServerOptions options);
@@ -97,17 +107,38 @@ class ScoreServer {
                 wire::OwnedFrame frame);
   void HandleScore(const std::shared_ptr<Connection>& conn,
                    uint64_t request_id, const wire::OwnedFrame& frame);
-  /// Appends a frame to the connection's outbound queue (any thread).
+  /// Appends a frame to the connection's outbound queue; false when the
+  /// connection is already closed (any thread).
+  bool AppendOutbound(const std::shared_ptr<Connection>& conn,
+                      wire::FrameType type, uint64_t request_id,
+                      const std::vector<uint8_t>& payload);
+  /// Loop thread: append, then mark the connection for the end-of-pass
+  /// flush.
   void SendFrame(const std::shared_ptr<Connection>& conn,
                  wire::FrameType type, uint64_t request_id,
                  const std::vector<uint8_t>& payload);
+  /// Completion callbacks (any thread): append, queue the connection in
+  /// pending_flush_ at most once, and wake the loop on the empty →
+  /// non-empty edge.
+  void SendFrameFromCallback(const std::shared_ptr<Connection>& conn,
+                             wire::FrameType type, uint64_t request_id,
+                             const std::vector<uint8_t>& payload);
   void SendErrorResponse(const std::shared_ptr<Connection>& conn,
                          wire::FrameType type, uint64_t request_id,
                          StatusCode code, const std::string& message,
                          bool rejected);
+  void MarkDirty(const std::shared_ptr<Connection>& conn);
+  /// Moves pending_flush_ into dirty_ (loop only, after draining the
+  /// eventfd).
+  void TakePendingFlushes();
+  /// Flushes every dirty connection once (loop only, end of each pass).
+  void FlushDirty();
   /// Flushes as much outbound as the socket takes; arms/disarms
   /// EPOLLOUT and re-arms reading when backpressure clears (loop only).
   void FlushOutbound(const std::shared_ptr<Connection>& conn);
+  /// Pauses reading past write_buffer_limit outbound bytes and resumes
+  /// below half; true when the pause state changed (loop only).
+  bool UpdateReadPause(Connection* conn, size_t backlog);
   void CloseConnection(int fd);
   void UpdateEpoll(Connection* conn);
   void WakeLoop();
@@ -121,10 +152,14 @@ class ScoreServer {
   Fd epoll_fd_;
   Fd wake_fd_;  ///< eventfd: callbacks nudge the loop after appending
   std::unordered_map<int, std::shared_ptr<Connection>> connections_;
-  /// Connections with freshly appended outbound bytes (callback threads
-  /// push fds here; the loop drains on each eventfd wakeup).
+  /// Connections with outbound bytes from this pass (loop only).
+  std::vector<std::shared_ptr<Connection>> dirty_;
+  /// Connections that completion callbacks appended to since the loop
+  /// last took the list. The loop drains the eventfd before it takes the
+  /// list, so a callback that finds the list non-empty can rely on the
+  /// wake of the callback that made it non-empty.
   std::mutex pending_mu_;
-  std::vector<int> pending_write_fds_;
+  std::vector<std::shared_ptr<Connection>> pending_flush_;
 
   std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> connections_opened_{0};
@@ -132,16 +167,17 @@ class ScoreServer {
   std::atomic<uint64_t> frames_received_{0};
   std::atomic<uint64_t> frames_sent_{0};
   std::atomic<uint64_t> read_pauses_{0};
+  std::atomic<uint64_t> socket_writes_{0};
 
   obs::Counter* connections_counter_ = nullptr;
   obs::Counter* frames_rx_counter_ = nullptr;
   obs::Counter* frames_tx_counter_ = nullptr;
   obs::Counter* protocol_errors_counter_ = nullptr;
   obs::Counter* read_pauses_counter_ = nullptr;
+  obs::Counter* socket_writes_counter_ = nullptr;
   obs::Gauge* connections_gauge_ = nullptr;
 
   std::thread loop_;
-  std::atomic<std::thread::id> loop_tid_{};
 };
 
 }  // namespace mace::net

@@ -1,5 +1,6 @@
 #include "wire/frame.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/check.h"
@@ -67,7 +68,12 @@ void AppendFrame(std::vector<uint8_t>* out, FrameType type,
   MACE_CHECK(size <= kMaxPayload)
       << "wire frame payload " << size << " exceeds the " << kMaxPayload
       << "-byte protocol cap";
-  out->reserve(out->size() + kHeaderSize + size);
+  // Grow geometrically: buffers that coalesce many frames per write would
+  // reallocate on every append under an exact-size reserve.
+  const size_t need = out->size() + kHeaderSize + size;
+  if (need > out->capacity()) {
+    out->reserve(std::max(need, 2 * out->capacity()));
+  }
   out->insert(out->end(), kMagic, kMagic + 4);
   out->push_back(kVersion);
   out->push_back(static_cast<uint8_t>(type));

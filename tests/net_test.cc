@@ -4,11 +4,24 @@
 // connection; frame malformation closes it), QoS rejection surfacing,
 // and the Router fanning one client across two live backends — with
 // bit-identical scores against the direct in-process ServeFrontend as
-// the hard equivalence check.
+// the hard equivalence check. Pipelined bursts pin exactly-once delivery
+// and write coalescing; a backend stopped mid-burst and a client that
+// never reads pin the router's failure and backpressure paths.
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+
+#include <chrono>
 #include <cstring>
+#include <functional>
+#include <future>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -114,6 +127,124 @@ bool BitIdentical(const std::vector<double>& a,
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
+
+/// Reads frames from a blocking socket until `count` have arrived. Stops
+/// early on EOF, a framing error, or `timeout_ms` without input, so a
+/// lost response fails the caller's count check instead of hanging.
+std::vector<wire::OwnedFrame> ReadFrames(int fd, size_t count,
+                                         int timeout_ms = 20000) {
+  std::vector<wire::OwnedFrame> frames;
+  wire::FrameDecoder decoder;
+  uint8_t buffer[64 * 1024];
+  while (frames.size() < count) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, timeout_ms) <= 0) break;
+    auto n = RecvSome(fd, buffer, sizeof(buffer));
+    if (!n.ok() || *n == 0) break;
+    decoder.Append(buffer, *n);
+    for (;;) {
+      auto next = decoder.Next();
+      if (!next.ok()) return frames;
+      if (!next->has_value()) break;
+      frames.push_back(std::move(**next));
+    }
+  }
+  return frames;
+}
+
+std::vector<std::string> Names(const std::string& prefix, int count) {
+  std::vector<std::string> names;
+  for (int k = 0; k < count; ++k) names.push_back(prefix + std::to_string(k));
+  return names;
+}
+
+/// Tenant names, `per_backend` of them placed on each of `backends` by
+/// the router's ring (placement follows the ephemeral ports, so names
+/// are probed rather than fixed).
+std::vector<std::string> SpreadTenants(
+    const std::string& prefix, const std::vector<std::string>& backends,
+    size_t per_backend) {
+  std::vector<std::string> tenants;
+  std::vector<size_t> placed(backends.size(), 0);
+  for (int k = 0; tenants.size() < per_backend * backends.size(); ++k) {
+    const std::string tenant = prefix + std::to_string(k);
+    const size_t b = Router::RingPick(backends, 64, tenant);
+    if (placed[b] == per_backend) continue;
+    ++placed[b];
+    tenants.push_back(tenant);
+  }
+  return tenants;
+}
+
+/// A pipelined burst: the tenants take turns over the first `steps`
+/// observations of the test split (tenant k on service k % 2), so each
+/// tenant's requests go out in order under increasing ids.
+struct Burst {
+  std::vector<std::string> tenants;
+  std::vector<uint8_t> bytes;  ///< every frame, for one write
+  std::map<uint64_t, size_t> tenant_of;  ///< request id → tenant index
+
+  Burst(std::vector<std::string> names, int steps)
+      : tenants(std::move(names)) {
+    const auto workload = TinyWorkload();
+    const size_t tenant_count = tenants.size();
+    uint64_t id = 1;
+    for (int t = 0; t < steps; ++t) {
+      for (size_t k = 0; k < tenant_count; ++k) {
+        wire::ScoreRequest request;
+        request.tenant = tenants[k];
+        request.service = k % 2;
+        request.values = workload[k % 2].test.values()[t];
+        std::vector<uint8_t> payload;
+        wire::EncodeScoreRequest(request, &payload);
+        wire::AppendFrame(&bytes, wire::FrameType::kScoreRequest, id,
+                          payload);
+        tenant_of[id++] = k;
+      }
+    }
+  }
+
+  size_t frames() const { return tenant_of.size(); }
+
+  /// Checks every request was answered exactly once and OK, and that
+  /// each tenant's scores, in request order, memcmp-equal the same
+  /// stream through `reference`.
+  void ExpectAnsweredOnceAndBitIdentical(
+      const std::vector<wire::OwnedFrame>& responses,
+      serve::ServeFrontend* reference, int steps) const {
+    ASSERT_EQ(responses.size(), frames()) << "responses lost";
+    std::map<uint64_t, wire::ScoreResponse> by_id;
+    for (const wire::OwnedFrame& frame : responses) {
+      ASSERT_EQ(frame.type, wire::FrameType::kScoreResponse);
+      ASSERT_EQ(tenant_of.count(frame.request_id), 1u)
+          << "unknown response id " << frame.request_id;
+      auto decoded = wire::DecodeScoreResponse(frame.payload.data(),
+                                               frame.payload.size());
+      ASSERT_TRUE(decoded.ok());
+      ASSERT_TRUE(decoded->ok()) << decoded->message;
+      ASSERT_TRUE(by_id.emplace(frame.request_id, *decoded).second)
+          << "duplicate response id " << frame.request_id;
+    }
+    const auto workload = TinyWorkload();
+    for (size_t k = 0; k < tenants.size(); ++k) {
+      std::vector<double> wire_scores;
+      for (const auto& [id, response] : by_id) {
+        if (tenant_of.at(id) != k) continue;
+        wire_scores.insert(wire_scores.end(), response.scores.begin(),
+                           response.scores.end());
+      }
+      const auto& values = workload[k % 2].test.values();
+      const std::vector<std::vector<double>> steps_in(
+          values.begin(), values.begin() + steps);
+      const auto direct =
+          DirectScores(reference, "ref-" + tenants[k],
+                       static_cast<int32_t>(k % 2), steps_in);
+      EXPECT_FALSE(direct.empty());
+      EXPECT_TRUE(BitIdentical(wire_scores, direct))
+          << tenants[k] << " diverged under the pipelined burst";
+    }
+  }
+};
 
 TEST(ScoreServerTest, PingStatsAndCleanStop) {
   auto frontend = MakeFrontend();
@@ -261,6 +392,34 @@ TEST(ScoreServerTest, QosRefusalSetsRejectedFlagAndKeepsConnection) {
   MACE_CHECK_OK(client->Ping());
 }
 
+TEST(ScoreServerTest, PipelinedBurstAnsweredOnceAndCoalesced) {
+  // Two shard workers complete responses concurrently and race on the
+  // loop's wake edge; every response must still be flushed exactly once.
+  auto frontend = MakeFrontend(2);
+  auto server = ScoreServer::Start(frontend.get(), {});
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  auto reference = MakeFrontend(1);
+
+  constexpr int kSteps = 64;
+  const Burst first(Names("direct-a", 8), kSteps);
+  const Burst second(Names("direct-b", 8), kSteps);
+  auto fd_a = TcpConnect("127.0.0.1", (*server)->port());
+  auto fd_b = TcpConnect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(fd_a.ok() && fd_b.ok());
+  MACE_CHECK_OK(SendAll(fd_a->get(), first.bytes.data(), first.bytes.size()));
+  MACE_CHECK_OK(
+      SendAll(fd_b->get(), second.bytes.data(), second.bytes.size()));
+
+  first.ExpectAnsweredOnceAndBitIdentical(
+      ReadFrames(fd_a->get(), first.frames()), reference.get(), kSteps);
+  second.ExpectAnsweredOnceAndBitIdentical(
+      ReadFrames(fd_b->get(), second.frames()), reference.get(), kSteps);
+  EXPECT_EQ((*server)->frames_sent(), first.frames() + second.frames());
+  EXPECT_GT((*server)->socket_writes(), 0u);
+  EXPECT_LT((*server)->socket_writes(), (*server)->frames_sent())
+      << "responses were not coalesced into shared writes";
+}
+
 // -- router ----------------------------------------------------------------
 
 struct TwoBackendTopology {
@@ -269,20 +428,21 @@ struct TwoBackendTopology {
   std::unique_ptr<ScoreServer> backend_a;
   std::unique_ptr<ScoreServer> backend_b;
   std::unique_ptr<Router> router;
+  std::vector<std::string> addresses;  ///< the router's backend list
 
-  TwoBackendTopology() {
-    frontend_a = MakeFrontend(1);
-    frontend_b = MakeFrontend(1);
+  explicit TwoBackendTopology(size_t shards = 1,
+                              RouterOptions options = {}) {
+    frontend_a = MakeFrontend(shards);
+    frontend_b = MakeFrontend(shards);
     auto a = ScoreServer::Start(frontend_a.get(), {});
     auto b = ScoreServer::Start(frontend_b.get(), {});
     MACE_CHECK_OK(a.status());
     MACE_CHECK_OK(b.status());
     backend_a = std::move(*a);
     backend_b = std::move(*b);
-    RouterOptions options;
-    options.backends = {
-        "127.0.0.1:" + std::to_string(backend_a->port()),
-        "127.0.0.1:" + std::to_string(backend_b->port())};
+    addresses = {"127.0.0.1:" + std::to_string(backend_a->port()),
+                 "127.0.0.1:" + std::to_string(backend_b->port())};
+    options.backends = addresses;
     auto started = Router::Start(options);
     MACE_CHECK_OK(started.status());
     router = std::move(*started);
@@ -355,6 +515,247 @@ TEST(RouterTest, CloseSessionRoundTripsThroughRouter) {
   auto closed = client->CloseSession("close-me", 0);
   ASSERT_TRUE(closed.ok());
   EXPECT_TRUE(closed->ok()) << closed->message;
+}
+
+TEST(RouterTest, PipelinedBurstAnsweredOnceBitIdenticalAndCoalesced) {
+  // 2 shards per backend: two worker threads race on each backend's wake
+  // edge while the router interleaves two clients over both backends.
+  TwoBackendTopology topology(/*shards=*/2);
+  auto reference = MakeFrontend(1);
+
+  constexpr int kSteps = 64;
+  const Burst first(SpreadTenants("routed-a", topology.addresses, 4),
+                    kSteps);
+  const Burst second(SpreadTenants("routed-b", topology.addresses, 4),
+                     kSteps);
+  auto fd_a = TcpConnect("127.0.0.1", topology.router->port());
+  auto fd_b = TcpConnect("127.0.0.1", topology.router->port());
+  ASSERT_TRUE(fd_a.ok() && fd_b.ok());
+  MACE_CHECK_OK(SendAll(fd_a->get(), first.bytes.data(), first.bytes.size()));
+  MACE_CHECK_OK(
+      SendAll(fd_b->get(), second.bytes.data(), second.bytes.size()));
+
+  first.ExpectAnsweredOnceAndBitIdentical(
+      ReadFrames(fd_a->get(), first.frames()), reference.get(), kSteps);
+  second.ExpectAnsweredOnceAndBitIdentical(
+      ReadFrames(fd_b->get(), second.frames()), reference.get(), kSteps);
+
+  const uint64_t requests = first.frames() + second.frames();
+  EXPECT_EQ(topology.router->forwarded(), requests);
+  EXPECT_GT(topology.backend_a->frames_received(), 0u);
+  EXPECT_GT(topology.backend_b->frames_received(), 0u);
+  // Every request was sent once to a backend and once back to a client.
+  const uint64_t frames_sent = topology.router->forwarded() + requests;
+  EXPECT_GT(topology.router->socket_writes(), 0u);
+  EXPECT_LT(topology.router->socket_writes(), frames_sent)
+      << "router wrote one frame per send()";
+}
+
+TEST(RouterTest, BackendStoppedMidBurstResolvesEveryRequestOnce) {
+  TwoBackendTopology topology(/*shards=*/2);
+  // Hold backend A's shards so its share of the burst is still in flight
+  // when A stops.
+  std::promise<void> gate;
+  std::shared_future<void> gate_future(gate.get_future());
+  for (int shard = 0; shard < 2; ++shard) {
+    topology.frontend_a->pool_for_test().BlockShardUntilForTest(
+        shard, gate_future);
+  }
+  const size_t on_a = 0;
+  auto backend_of = [&](const std::string& tenant) {
+    return Router::RingPick(topology.addresses, 64, tenant);
+  };
+
+  constexpr int kSteps = 64;
+  const Burst burst(SpreadTenants("doomed", topology.addresses, 4), kSteps);
+
+  auto fd = TcpConnect("127.0.0.1", topology.router->port());
+  ASSERT_TRUE(fd.ok());
+  MACE_CHECK_OK(SendAll(fd->get(), burst.bytes.data(), burst.bytes.size()));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (topology.backend_a->frames_received() +
+                 topology.backend_b->frames_received() <
+             burst.frames() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(topology.backend_a->frames_received() +
+                topology.backend_b->frames_received(),
+            burst.frames());
+
+  // Stop() joins A's loop, then waits for its shards; open the gate only
+  // after the loop is gone so A's queued responses are never written.
+  std::thread opener([&gate] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    gate.set_value();
+  });
+  topology.backend_a->Stop();
+  opener.join();
+
+  const auto responses = ReadFrames(fd->get(), burst.frames());
+  ASSERT_EQ(responses.size(), burst.frames()) << "a request hung or was lost";
+  std::set<uint64_t> seen;
+  size_t io_errors = 0;
+  for (const wire::OwnedFrame& frame : responses) {
+    ASSERT_TRUE(seen.insert(frame.request_id).second)
+        << "duplicate response id " << frame.request_id;
+    ASSERT_EQ(burst.tenant_of.count(frame.request_id), 1u);
+    auto response = wire::DecodeScoreResponse(frame.payload.data(),
+                                              frame.payload.size());
+    ASSERT_TRUE(response.ok());
+    const std::string& tenant =
+        burst.tenants[burst.tenant_of.at(frame.request_id)];
+    if (backend_of(tenant) != on_a) {
+      EXPECT_TRUE(response->ok()) << tenant << ": " << response->message;
+      continue;
+    }
+    if (response->ok()) continue;  // answered before A went down
+    EXPECT_EQ(response->code, StatusCode::kIoError) << response->message;
+    EXPECT_FALSE(response->rejected);
+    ++io_errors;
+  }
+  EXPECT_GT(io_errors, 0u) << "no request was in flight on the stopped backend";
+  EXPECT_EQ(topology.router->backend_errors(), 1u);
+
+  // A's tenants are now refused up front; B's still score.
+  auto client = Connect(topology.router->port());
+  const auto values = TinyWorkload()[0].test.values();
+  for (const std::string& tenant : burst.tenants) {
+    wire::ScoreRequest request;
+    request.tenant = tenant;
+    request.service = 0;
+    request.values = values[0];
+    auto response = client->Score(request);
+    ASSERT_TRUE(response.ok());
+    if (backend_of(tenant) == on_a) {
+      EXPECT_TRUE(response->rejected);
+      EXPECT_NE(response->message.find("is down"), std::string::npos)
+          << response->message;
+    } else {
+      EXPECT_TRUE(response->ok()) << response->message;
+    }
+  }
+}
+
+/// Pipelines score and stats requests from a client that does not read
+/// until `read_pauses()` reports that the peer on `port` stopped reading
+/// it, then reads and checks every request is answered exactly once.
+void ExpectReadPausedThenAnsweredOnce(
+    uint16_t port, const std::function<uint64_t()>& read_pauses) {
+  // A small receive buffer, set before connect so the advertised window
+  // stays small: the kernel cannot absorb the peer's backlog for us.
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  Fd owned(fd);
+  const int rcvbuf = 4096;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf)),
+            0);
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  MACE_CHECK_OK(SetNonBlocking(fd));
+
+  // Alternate score and stats requests without reading a byte.
+  const auto values = TinyWorkload()[0].test.values();
+  std::vector<uint8_t> unsent;
+  size_t offset = 0;
+  uint64_t next_id = 1;
+  auto append_frames = [&](int count) {
+    for (int i = 0; i < count; ++i, ++next_id) {
+      if (next_id % 2 == 0) {
+        wire::AppendFrame(&unsent, wire::FrameType::kStatsRequest, next_id,
+                          nullptr, 0);
+        continue;
+      }
+      wire::ScoreRequest request;
+      request.tenant = "silent-" + std::to_string(next_id % 8);
+      request.service = 0;
+      request.values = values[(next_id / 8) % values.size()];
+      std::vector<uint8_t> payload;
+      wire::EncodeScoreRequest(request, &payload);
+      wire::AppendFrame(&unsent, wire::FrameType::kScoreRequest, next_id,
+                        payload);
+    }
+  };
+  auto send_some = [&] {
+    const ssize_t n = ::send(fd, unsent.data() + offset,
+                             unsent.size() - offset, MSG_NOSIGNAL);
+    if (n > 0) offset += static_cast<size_t>(n);
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (read_pauses() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    if (offset == unsent.size()) {
+      unsent.clear();
+      offset = 0;
+      append_frames(256);
+    }
+    send_some();
+    pollfd pfd{fd, POLLOUT, 0};
+    ::poll(&pfd, 1, 5);
+  }
+  ASSERT_GT(read_pauses(), 0u)
+      << "an unread client was buffered without bound";
+
+  // Now read: the backlog drains, reading resumes, and every request
+  // (including the tail still unsent) is answered exactly once.
+  const uint64_t expected = next_id - 1;
+  std::vector<bool> answered(expected + 1, false);
+  uint64_t received = 0;
+  wire::FrameDecoder decoder;
+  uint8_t buffer[64 * 1024];
+  while (received < expected &&
+         std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{fd, static_cast<short>(POLLIN |
+                                      (offset < unsent.size() ? POLLOUT : 0)),
+               0};
+    if (::poll(&pfd, 1, 1000) <= 0) continue;
+    if (offset < unsent.size()) send_some();
+    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+    if (n == 0) break;
+    if (n < 0) continue;
+    decoder.Append(buffer, static_cast<size_t>(n));
+    for (;;) {
+      auto next = decoder.Next();
+      ASSERT_TRUE(next.ok());
+      if (!next->has_value()) break;
+      const uint64_t id = (*next)->request_id;
+      ASSERT_TRUE(id >= 1 && id <= expected) << "unknown id " << id;
+      ASSERT_FALSE(answered[id]) << "duplicate response id " << id;
+      answered[id] = true;
+      ++received;
+      EXPECT_EQ((*next)->type, id % 2 == 0 ? wire::FrameType::kStatsResponse
+                                           : wire::FrameType::kScoreResponse);
+    }
+  }
+  EXPECT_EQ(received, expected);
+  EXPECT_EQ(offset, unsent.size());
+}
+
+TEST(ScoreServerTest, ClientThatNeverReadsIsReadPausedThenAnsweredOnce) {
+  auto frontend = MakeFrontend(1);
+  ScoreServerOptions options;
+  options.write_buffer_limit = 4096;
+  auto server = ScoreServer::Start(frontend.get(), options);
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  ExpectReadPausedThenAnsweredOnce(
+      (*server)->port(), [&] { return (*server)->read_pauses(); });
+}
+
+TEST(RouterTest, ClientThatNeverReadsIsReadPausedThenAnsweredOnce) {
+  // Score requests are answered through a backend, stats requests by the
+  // router itself; both count against the client's backlog.
+  RouterOptions options;
+  options.write_buffer_limit = 4096;
+  TwoBackendTopology topology(/*shards=*/1, options);
+  ExpectReadPausedThenAnsweredOnce(
+      topology.router->port(), [&] { return topology.router->read_pauses(); });
 }
 
 }  // namespace
