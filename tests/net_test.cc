@@ -6,13 +6,17 @@
 // bit-identical scores against the direct in-process ServeFrontend as
 // the hard equivalence check. Pipelined bursts pin exactly-once delivery
 // and write coalescing; a backend stopped mid-burst and a client that
-// never reads pin the router's failure and backpressure paths.
+// never reads pin the router's failure and backpressure paths. The
+// EventLoop core both roles share is pinned directly too: tasks posted
+// from many threads run once each, on the loop thread, and none runs
+// after Stop() returns.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <functional>
@@ -29,6 +33,7 @@
 #include "common/check.h"
 #include "core/mace_detector.h"
 #include "net/client.h"
+#include "net/event_loop.h"
 #include "net/router.h"
 #include "net/server.h"
 #include "net/socket.h"
@@ -457,8 +462,10 @@ TEST(RouterTest, BitIdenticalThroughRouterAndBothBackendsUsed) {
   const auto values = TinyWorkload()[0].test.values();
   const std::vector<std::vector<double>> steps(values.begin(),
                                                values.begin() + 48);
+  std::vector<uint64_t> placed(2, 0);  ///< requests RingPick sends each way
   for (int k = 0; k < 12; ++k) {
     const std::string tenant = "tenant-" + std::to_string(k);
+    placed[Router::RingPick(topology.addresses, 64, tenant)] += steps.size();
     const auto routed = SocketScores(client.get(), tenant, 0, steps);
     const auto direct = DirectScores(reference.get(), tenant, 0, steps);
     EXPECT_FALSE(routed.empty());
@@ -474,6 +481,9 @@ TEST(RouterTest, BitIdenticalThroughRouterAndBothBackendsUsed) {
   EXPECT_EQ(topology.router->forwarded(),
             topology.backend_a->frames_received() +
                 topology.backend_b->frames_received());
+  // RingPick is the ring that routes, not a copy of it.
+  EXPECT_EQ(topology.backend_a->frames_received(), placed[0]);
+  EXPECT_EQ(topology.backend_b->frames_received(), placed[1]);
   EXPECT_EQ(topology.router->backend_errors(), 0u);
 
   auto stats = client->Stats();
@@ -638,6 +648,55 @@ TEST(RouterTest, BackendStoppedMidBurstResolvesEveryRequestOnce) {
   }
 }
 
+TEST(RouterTest, CloseInFlightOnStoppedBackendGetsTypedCloseError) {
+  TwoBackendTopology topology(/*shards=*/1);
+  std::promise<void> gate;
+  std::shared_future<void> gate_future(gate.get_future());
+  topology.frontend_a->pool_for_test().BlockShardUntilForTest(0,
+                                                              gate_future);
+  std::string tenant;
+  for (int k = 0; tenant.empty(); ++k) {
+    const std::string name = "closing-" + std::to_string(k);
+    if (Router::RingPick(topology.addresses, 64, name) == 0) tenant = name;
+  }
+
+  auto fd = TcpConnect("127.0.0.1", topology.router->port());
+  ASSERT_TRUE(fd.ok());
+  wire::CloseRequest request;
+  request.tenant = tenant;
+  request.service = 0;
+  std::vector<uint8_t> payload;
+  wire::EncodeCloseRequest(request, &payload);
+  std::vector<uint8_t> bytes;
+  wire::AppendFrame(&bytes, wire::FrameType::kCloseRequest, 42, payload);
+  MACE_CHECK_OK(SendAll(fd->get(), bytes.data(), bytes.size()));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (topology.backend_a->frames_received() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(topology.backend_a->frames_received(), 1u);
+
+  // The close is parked on A's gated shard; A stops under it.
+  std::thread opener([&gate] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    gate.set_value();
+  });
+  topology.backend_a->Stop();
+  opener.join();
+
+  const auto responses = ReadFrames(fd->get(), 2, /*timeout_ms=*/500);
+  ASSERT_EQ(responses.size(), 1u) << "close answered other than once";
+  EXPECT_EQ(responses[0].type, wire::FrameType::kCloseResponse);
+  EXPECT_EQ(responses[0].request_id, 42u);
+  auto response = wire::DecodeScoreResponse(responses[0].payload.data(),
+                                            responses[0].payload.size());
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->code, StatusCode::kIoError) << response->message;
+  EXPECT_FALSE(response->rejected);
+}
+
 /// Pipelines score and stats requests from a client that does not read
 /// until `read_pauses()` reports that the peer on `port` stopped reading
 /// it, then reads and checks every request is answered exactly once.
@@ -756,6 +815,80 @@ TEST(RouterTest, ClientThatNeverReadsIsReadPausedThenAnsweredOnce) {
   TwoBackendTopology topology(/*shards=*/1, options);
   ExpectReadPausedThenAnsweredOnce(
       topology.router->port(), [&] { return topology.router->read_pauses(); });
+}
+
+// -- event loop -------------------------------------------------------------
+
+TEST(EventLoopTest, PostFromManyThreadsRunsEachTaskOnceOnTheLoopThread) {
+  EventLoop loop("test", 1u << 20);
+  MACE_CHECK_OK(loop.Open());
+  loop.Start();
+  std::promise<std::thread::id> loop_thread;
+  loop.Post([&] { loop_thread.set_value(std::this_thread::get_id()); });
+  const std::thread::id loop_id = loop_thread.get_future().get();
+
+  // 4 producers race on the inbox's empty → non-empty wake edge.
+  constexpr int kProducers = 4;
+  constexpr int kTasks = 10000;
+  std::vector<int> runs(kProducers * kTasks, 0);  // loop thread writes
+  std::atomic<int> ran{0};
+  std::atomic<int> off_loop{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 0; i < kTasks; ++i) {
+        loop.Post([&, slot = p * kTasks + i] {
+          ++runs[slot];
+          if (std::this_thread::get_id() != loop_id) off_loop.fetch_add(1);
+          ran.fetch_add(1);
+        });
+      }
+    });
+  }
+  for (std::thread& producer : producers) producer.join();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (ran.load() < kProducers * kTasks &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(ran.load(), kProducers * kTasks) << "a posted task was lost";
+  for (size_t slot = 0; slot < runs.size(); ++slot) {
+    ASSERT_EQ(runs[slot], 1) << "task " << slot;
+  }
+  EXPECT_EQ(off_loop.load(), 0);
+
+  // A producer posting across Stop(): whatever it posted either ran
+  // before Stop() returned or was destroyed unrun — nothing runs late and
+  // every captured token is released.
+  struct Token {
+    explicit Token(std::atomic<int>* released) : released(released) {}
+    ~Token() { released->fetch_add(1); }
+    std::atomic<int>* released;
+  };
+  std::atomic<int> made{0};
+  std::atomic<int> released{0};
+  std::atomic<bool> stop_returned{false};
+  std::atomic<int> ran_late{0};
+  std::atomic<bool> producing{true};
+  std::thread producer([&] {
+    while (producing.load()) {
+      auto token = std::make_shared<Token>(&released);
+      made.fetch_add(1);
+      loop.Post([&, token] {
+        if (stop_returned.load()) ran_late.fetch_add(1);
+      });
+    }
+  });
+  while (made.load() < 1000) std::this_thread::yield();
+  loop.Stop();
+  stop_returned.store(true);
+  const int made_at_stop = made.load();
+  while (made.load() < made_at_stop + 1000) std::this_thread::yield();
+  producing.store(false);
+  producer.join();
+  EXPECT_EQ(ran_late.load(), 0);
+  EXPECT_EQ(released.load(), made.load()) << "a dropped task leaked";
 }
 
 }  // namespace
